@@ -18,7 +18,7 @@ from repro.common.fsutil import write_text
 from repro.common.rng import SeedSequenceFactory
 from repro.core import ExperimentPipeline, PopperRepository
 from repro.core.ci_integration import make_ci_server
-from repro.ci.regression import PerformanceHistory, RegressionGate
+from repro.ci.regression import RegressionGate
 from repro.gassyfs.experiment import ScalabilityConfig, run_point
 from repro.gassyfs.workloads import CompileWorkload
 from repro.platform.sites import default_sites
@@ -78,16 +78,15 @@ def main() -> None:
     print("  CI caught the claim the data cannot support.\n")
 
     print("Performance-regression gate over synthetic commits:")
-    history = PerformanceHistory(
-        metric="gassyfs.probe.4nodes",
-        gate=RegressionGate(threshold=0.05, alpha=0.05),
+    gate = RegressionGate(threshold=0.05, alpha=0.05)
+    metric = "gassyfs.probe.4nodes"
+    baseline = sample_runtime(1 << 20, [11, 12, 13, 14]) + sample_runtime(
+        1 << 20, [21, 22, 23, 24]
     )
-    history.record("baseline-a", sample_runtime(1 << 20, [11, 12, 13, 14]))
-    history.record("baseline-b", sample_runtime(1 << 20, [21, 22, 23, 24]))
-    ok = history.judge("harmless-change", sample_runtime(1 << 20, [31, 32, 33, 34]))
-    print(f"  {ok}")
-    bad = history.judge("shrink-block-to-4KiB", sample_runtime(1 << 12, [41, 42, 43, 44]))
-    print(f"  {bad}")
+    ok = gate.check(baseline, sample_runtime(1 << 20, [31, 32, 33, 34]), metric)
+    print(f"  harmless-change      {ok}")
+    bad = gate.check(baseline, sample_runtime(1 << 12, [41, 42, 43, 44]), metric)
+    print(f"  shrink-block-to-4KiB {bad}")
     print(
         "\nthe gate needs BOTH a median slowdown beyond the threshold and"
         "\nstatistical significance — ordinary noise passes, real regressions"

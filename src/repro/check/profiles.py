@@ -9,13 +9,12 @@ columns) plus free-form metadata.  A :class:`ProfileHistory` is the
 degradation-checker's view of the repository: one profile file per
 commit, plus an append-only index journal, both written under the
 durable-write contract of :mod:`repro.common.fsutil` (profile files via
-``atomic_write``, the index via ``journal_append`` with torn-tail
-tolerant readers).
+``atomic_write``, the index via ``journal_append``).  The index is a
+ledger under the torn-tail contract of :mod:`repro.common.groupcommit`.
 
-This replaces the flat sliding window of
-:class:`repro.ci.regression.PerformanceHistory`: baselines are resolved
-from the actual commit graph, so "compare against the last five
-commits" means five *commits*, not five undated gate invocations.
+Baselines are resolved from the actual commit graph, so "compare
+against the last five commits" means five *commits*, not five undated
+gate invocations.
 """
 
 from __future__ import annotations
@@ -25,8 +24,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from repro.common.errors import CheckError
+from repro.common.errors import CheckError, LedgerError
 from repro.common.fsutil import atomic_write, ensure_dir, journal_append
+from repro.common.groupcommit import read_jsonl, repair_tail
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.monitor.metrics import MetricStore
@@ -151,7 +151,7 @@ class ProfileHistory:
     commit's profile lives in ``profiles/<commit>.json`` (atomic,
     durable writes — a crash leaves the old profile or the new one,
     never a torn file) and ``profiles/index.jsonl`` records attach
-    order (single-line appends; a torn tail is skipped on read).
+    order (single-line appends to a ledger).
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -177,6 +177,7 @@ class ProfileHistory:
             },
             sort_keys=True,
         )
+        repair_tail(self.index_path)
         with open(self.index_path, "a", encoding="utf-8") as handle:
             journal_append(handle, entry, durable=True, crash_label="profiles.index")
         return path
@@ -211,18 +212,14 @@ class ProfileHistory:
         """
         seen: list[str] = []
         if self.index_path.exists():
-            with open(self.index_path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue  # torn tail (or mid-file corruption): skip
-                    commit = entry.get("commit")
-                    if commit and commit not in seen:
-                        seen.append(commit)
+            try:
+                entries, _torn = read_jsonl(self.index_path)
+            except LedgerError as exc:
+                raise CheckError(f"bad profile index: {exc}") from exc
+            for entry in entries:
+                commit = entry.get("commit")
+                if commit and commit not in seen:
+                    seen.append(commit)
         if self.dir.is_dir():
             on_disk = sorted(
                 p.stem for p in self.dir.glob("*.json") if p.stem not in seen

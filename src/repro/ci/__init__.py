@@ -5,7 +5,7 @@ gating.
 """
 
 from repro.ci.config import CIConfig, parse_env_line
-from repro.ci.regression import PerformanceHistory, RegressionGate, RegressionReport
+from repro.ci.regression import RegressionGate, RegressionReport
 from repro.ci.runner import (
     BuildRecord,
     BuildStatus,
@@ -26,5 +26,4 @@ __all__ = [
     "StepResult",
     "RegressionGate",
     "RegressionReport",
-    "PerformanceHistory",
 ]

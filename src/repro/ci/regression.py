@@ -4,35 +4,26 @@ The paper calls out that performance regression testing "is usually an
 ad-hoc activity but can be automated ... using statistical techniques".
 The statistics now live in :mod:`repro.check` (a pluggable detector
 suite shared with Aver's ``no_regression`` builtin and ``popper perf``);
-this module keeps the CI-shaped surface on top of it:
-
-* :class:`RegressionGate` — the historical pass/fail gate.  Its verdict
-  is exactly the average-amount detector's (median-ratio threshold plus
-  Mann-Whitney U significance, both required), so CI semantics are
-  unchanged; the full suite's graded verdicts ride along on the report
-  for richer output.
-* :class:`PerformanceHistory` — the flat rolling-window baseline,
-  superseded by the commit-attached
-  :class:`~repro.check.profiles.ProfileHistory` but kept for gate-only
-  consumers, now with durable persistence.
+this module keeps the CI-shaped surface on top of it,
+:class:`RegressionGate` — the historical pass/fail gate.  Its verdict is
+exactly the average-amount detector's (median-ratio threshold plus
+Mann-Whitney U significance, both required), so CI semantics are
+unchanged; the full suite's graded verdicts ride along on the report for
+richer output.  Baselines come from the commit-attached
+:class:`~repro.check.profiles.ProfileHistory`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
-import json
 import numpy as np
 
 from repro.check.detectors import Degradation, PerformanceChange
 from repro.check.suite import DetectorSuite, default_suite
 from repro.common.errors import CIError
-from repro.common.fsutil import atomic_write
 
-__all__ = ["RegressionReport", "RegressionGate", "PerformanceHistory"]
-
-_HISTORY_FORMAT_VERSION = 1
+__all__ = ["RegressionReport", "RegressionGate"]
 
 
 @dataclass(frozen=True)
@@ -136,101 +127,3 @@ class RegressionGate:
             confidence=gating.confidence,
             degradations=tuple(verdicts),
         )
-
-
-@dataclass
-class PerformanceHistory:
-    """Per-commit metric samples, the stream the gate watches.
-
-    Keeps a rolling baseline window of the last *window* healthy commits;
-    a new commit is judged against the pooled baseline samples.
-
-    Superseded by :class:`repro.check.profiles.ProfileHistory` (which
-    attaches profiles to the actual commit graph) but retained for
-    gate-only consumers; :meth:`save`/:meth:`load` persist the window
-    under the durable-write contract, with a one-shot fallback for the
-    legacy raw-JSON format.
-    """
-
-    metric: str = "runtime"
-    window: int = 5
-    gate: RegressionGate = field(default_factory=RegressionGate)
-    _commits: list[tuple[str, np.ndarray]] = field(default_factory=list)
-
-    def record(self, commit: str, samples: np.ndarray | list[float]) -> None:
-        """Accept a healthy commit's samples into the baseline window."""
-        self._commits.append((commit, np.asarray(samples, dtype=np.float64)))
-        if len(self._commits) > self.window:
-            self._commits.pop(0)
-
-    @property
-    def baseline(self) -> np.ndarray:
-        if not self._commits:
-            raise CIError("no baseline recorded yet")
-        return np.concatenate([s for _, s in self._commits])
-
-    def judge(
-        self, commit: str, samples: np.ndarray | list[float]
-    ) -> RegressionReport:
-        """Gate a candidate commit; record it as baseline iff it passes."""
-        report = self.gate.check(self.baseline, samples, metric=self.metric)
-        if not report.regressed:
-            self.record(commit, samples)
-        return report
-
-    # -- persistence -------------------------------------------------------------
-    def save(self, path: str | Path) -> None:
-        """Persist the window atomically and durably (crash leaves the
-        old file or the new one, never a torn mix)."""
-        payload = {
-            "version": _HISTORY_FORMAT_VERSION,
-            "metric": self.metric,
-            "window": self.window,
-            "commits": [
-                [commit, [float(v) for v in samples]]
-                for commit, samples in self._commits
-            ],
-        }
-        data = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        atomic_write(path, data.encode("utf-8"), durable=True)
-
-    @classmethod
-    def load(
-        cls, path: str | Path, gate: RegressionGate | None = None
-    ) -> "PerformanceHistory":
-        """Load a saved window.
-
-        Reads the versioned format written by :meth:`save`; a payload
-        without a ``version`` field is parsed once through the legacy
-        raw format (a plain ``{commit: [samples, ...]}`` mapping from
-        the pre-durable writer) so existing ``.pvcs`` state keeps
-        loading — the next :meth:`save` rewrites it versioned.
-        """
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CIError(f"unreadable performance history at {path}: {exc}") from exc
-        history = cls(gate=gate or RegressionGate())
-        if isinstance(payload, dict) and "version" in payload:
-            if payload["version"] != _HISTORY_FORMAT_VERSION:
-                raise CIError(
-                    f"unsupported performance-history version: {payload['version']!r}"
-                )
-            history.metric = str(payload.get("metric", history.metric))
-            history.window = int(payload.get("window", history.window))
-            entries = [
-                (str(commit), samples) for commit, samples in payload.get("commits", [])
-            ]
-        elif isinstance(payload, dict):
-            # Legacy format: {commit: [samples]} with no envelope.
-            entries = [(str(c), v) for c, v in payload.items()]
-        else:
-            raise CIError(f"malformed performance history at {path}")
-        for commit, samples in entries:
-            try:
-                history.record(commit, [float(v) for v in samples])
-            except (TypeError, ValueError) as exc:
-                raise CIError(
-                    f"malformed samples for commit {commit!r} in {path}"
-                ) from exc
-        return history

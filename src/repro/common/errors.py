@@ -14,6 +14,7 @@ __all__ = [
     "YamlError",
     "LockError",
     "LockTimeout",
+    "LedgerError",
     "StoreError",
     "MissingObjectError",
     "CorruptObjectError",
@@ -91,6 +92,15 @@ class LockError(ReproError):
 class LockTimeout(LockError, TransientError):
     """A lock was not acquired within its deadline (the holder may well
     release it; retrying is reasonable, hence transient)."""
+
+
+class LedgerError(ReproError):
+    """A JSONL ledger line no crash can leave (garbage before the tail,
+    or not a JSON object)."""
+
+    def __init__(self, path: object, line: int, message: str) -> None:
+        self.line = line
+        super().__init__(f"{path}:{line}: {message}")
 
 
 # --- store ------------------------------------------------------------------

@@ -17,8 +17,12 @@ Durability contract (documented in ``docs/robustness.md``):
 * a **machine** crash (power cut) loses at most the current unsynced
   window — a contiguous suffix of whole lines plus, at worst, one torn
   trailing line.  Never a torn prefix: appends are sequential, so the
-  tear is always at the tail, which every JSONL reader in the toolchain
-  already skips and ``popper doctor`` truncates.
+  tear is always at the tail.
+
+Every append-only JSONL file in the toolchain is a *ledger* read by
+:func:`read_jsonl` (which skips only a torn final line) and cut by one
+tail rule, :func:`repaired_tail`, which :func:`repair_tail` applies
+before an append so no record is glued onto a crash's fragment.
 
 Bulk writers (journal shard merges, fuzz coverage harvests) can opt
 into :meth:`batched` mode, which additionally buffers the *writes*
@@ -35,22 +39,126 @@ group-commit window" hazard, which loses the window cleanly.
 
 from __future__ import annotations
 
+import json
 import os
 import time
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from threading import Lock
-from typing import IO, Callable, Iterator
+from typing import IO, Any, Callable, Iterator
 
 from repro.common.crash import active_crash_plan, crashpoint
+from repro.common.errors import LedgerError
 from repro.common.fsutil import ensure_dir
 
-__all__ = ["GroupCommitWriter"]
+__all__ = ["GroupCommitWriter", "read_jsonl", "repaired_tail", "repair_tail"]
 
 #: Default window bounds: whichever trips first commits the window.
 DEFAULT_MAX_EVENTS = 256
 DEFAULT_MAX_BYTES = 64 * 1024
 DEFAULT_MAX_DELAY_S = 0.05
+
+#: Bytes :func:`repair_tail` reads from the end of a ledger.
+_TAIL_WINDOW = 64 * 1024
+
+
+def read_jsonl(
+    path: str | os.PathLike, raw: bytes | None = None
+) -> tuple[list[dict[str, Any]], int]:
+    """Parse a JSONL ledger; returns ``(records, torn-lines-skipped)``.
+
+    A torn *trailing* line (the one write a crash interrupted) is
+    skipped with a warning; any unparseable or non-object line before it
+    raises :class:`~repro.common.errors.LedgerError`.  *raw* is the
+    file's content when the caller already holds it.
+    """
+    if raw is None:
+        raw = Path(path).read_bytes()
+    lines = raw.split(b"\n")
+    last = len(lines) - 1
+    while last >= 0 and not lines[last].strip():
+        last -= 1
+    records: list[dict[str, Any]] = []
+    torn = 0
+    for index, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            if index == last:
+                warnings.warn(
+                    f"{path}:{index + 1}: skipping torn trailing line "
+                    "(crashed append)",
+                    stacklevel=2,
+                )
+                torn = 1
+                continue
+            raise LedgerError(path, index + 1, f"unparseable line: {exc}") from exc
+        if not isinstance(record, dict):
+            raise LedgerError(path, index + 1, "line is not a JSON object")
+        records.append(record)
+    return records, torn
+
+
+def repaired_tail(raw: bytes) -> bytes | None:
+    """What a ledger (or a trailing part of it starting at a line
+    boundary) is cut to, or ``None`` when its tail is whole.
+
+    Dangling bytes after the last newline, or a terminated final line,
+    that fail to parse are torn; a final record that only lacks its
+    newline is completed, not cut.
+    """
+    cut = raw.rfind(b"\n")
+    tail = raw[cut + 1 :]
+    if tail.strip():
+        try:
+            json.loads(tail)
+        except ValueError:
+            return raw[: cut + 1]
+        return raw + b"\n"
+    if cut < 0:
+        return None
+    start = raw.rfind(b"\n", 0, cut) + 1
+    last = raw[start:cut]
+    if last.strip():
+        try:
+            json.loads(last)
+        except ValueError:
+            return raw[:start]
+    return None
+
+
+def repair_tail(path: str | os.PathLike) -> None:
+    """Apply :func:`repaired_tail` to the ledger at *path*, if any,
+    reading only a trailing window.  Appenders run it before their first
+    write, under the lock they append under."""
+    try:
+        handle = open(path, "r+b")
+    except FileNotFoundError:
+        return
+    with handle:
+        start = max(0, handle.seek(0, os.SEEK_END) - _TAIL_WINDOW)
+        handle.seek(start)
+        raw = handle.read()
+        if start and raw.count(b"\n") < 2:
+            # The last line may begin before the window: read it all.
+            start = handle.seek(0)
+            raw = handle.read()
+        elif start:
+            skip = raw.index(b"\n") + 1  # start at a line boundary
+            start += skip
+            raw = raw[skip:]
+        repaired = repaired_tail(raw)
+        if repaired is None:
+            return
+        # The tail rule only ever cuts the window or completes its last
+        # record with a newline (the handle is at the end of the file).
+        if len(repaired) < len(raw):
+            handle.truncate(start + len(repaired))
+        else:
+            handle.write(b"\n")
 
 
 class GroupCommitWriter:
@@ -88,6 +196,8 @@ class GroupCommitWriter:
             # Truncate separately, then append: append-mode writes can
             # only ever grow the file, never clobber another writer.
             self.path.write_text("", encoding="utf-8")
+        else:
+            repair_tail(self.path)
         self._fh: IO[str] | None = self.path.open("a", encoding="utf-8")
         # Buffered lines (batched mode only) and their byte count.
         self._buffer: list[str] = []

@@ -95,7 +95,11 @@ from repro.engine.scheduler import (
 from repro.monitor.journal import RunJournal, load_journal, replay_events
 from repro.monitor.tracing import SPAN_METRIC, Span, Tracer
 
-__all__ = ["ProcessScheduler", "audit_pickle_safety"]
+__all__ = ["ProcessScheduler", "audit_pickle_safety", "START_METHOD"]
+
+#: How worker processes start: fork is cheapest and inherits the
+#: installed crash plan; spawn is the portable fallback.
+START_METHOD = "fork" if hasattr(os, "fork") else "spawn"
 
 
 def _executable(payload: Any) -> Any:
@@ -271,7 +275,6 @@ class ProcessScheduler(Scheduler):
         self,
         max_workers: int | None = None,
         fallback: str | None = "threaded",
-        start_method: str | None = None,
     ) -> None:
         if max_workers is None:
             max_workers = os.cpu_count() or 1
@@ -283,18 +286,12 @@ class ProcessScheduler(Scheduler):
             )
         self.max_workers = max_workers
         self.fallback = fallback
-        self.start_method = start_method
 
     # -- plumbing ----------------------------------------------------------------
     def _context(self):
         import multiprocessing as mp
 
-        if self.start_method is not None:
-            return mp.get_context(self.start_method)
-        methods = mp.get_all_start_methods()
-        # fork is cheapest and inherits the installed crash plan; spawn
-        # is the portable fallback.
-        return mp.get_context("fork" if "fork" in methods else "spawn")
+        return mp.get_context(START_METHOD)
 
     def _fallback_scheduler(self) -> Scheduler:
         if self.fallback == "serial":

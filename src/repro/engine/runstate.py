@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import json
 import threading
-import warnings
 from pathlib import Path
 from typing import Any
 
-from repro.common.errors import EngineError
-from repro.common.groupcommit import GroupCommitWriter
+from repro.common.errors import EngineError, LedgerError
+from repro.common.groupcommit import GroupCommitWriter, read_jsonl
 from repro.common.hashing import sha256_text
 from repro.common.locking import RepoLock
 
@@ -71,10 +70,11 @@ class RunStateStore:
     most the last unsynced window of records (those tasks simply
     re-run on resume) and can tear at most the trailing record.
 
-    A torn trailing line is exactly what a killed run leaves behind, so
-    the loader skips it with a warning and counts it in :attr:`skipped`;
-    garbage *before* the tail means the file was edited or corrupted and
-    still raises :class:`~repro.common.errors.EngineError`.
+    The file is a ledger under the one contract of
+    :mod:`repro.common.groupcommit`: a torn trailing line is skipped on
+    load (counted in :attr:`skipped`; the interrupted task re-runs) and
+    cut before the first append, and garbage *before* the tail raises
+    :class:`~repro.common.errors.EngineError`.
     """
 
     def __init__(
@@ -88,40 +88,28 @@ class RunStateStore:
         #: Unparseable trailing lines skipped during load (0 or 1).
         self.skipped = 0
         if self.resume and self.path.is_file():
-            lines = self.path.read_text(encoding="utf-8").splitlines()
-            last = len(lines)
-            for lineno, line in enumerate(lines, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    if lineno == last:
-                        warnings.warn(
-                            f"{self.path}: skipping torn trailing "
-                            f"run-state line {lineno} (crashed append); "
-                            "the interrupted task will re-run",
-                            stacklevel=2,
-                        )
-                        self.skipped += 1
-                        continue
-                    raise EngineError(
-                        f"{self.path}:{lineno}: bad run-state line: {exc}"
-                    ) from exc
-                if isinstance(record, dict) and record.get("fingerprint"):
+            try:
+                records, self.skipped = read_jsonl(self.path)
+            except LedgerError as exc:
+                raise EngineError(f"bad run-state line: {exc}") from exc
+            for record in records:
+                if record.get("fingerprint"):
                     self._records[str(record["fingerprint"])] = record
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._iplock = RepoLock(
             self.path.with_name(self.path.name + ".lock"), label="run-state"
         )
         # fresh=True truncates separately, then appends: an append-mode
-        # handle can never overwrite a concurrent writer's records.
-        self._writer: GroupCommitWriter | None = GroupCommitWriter(
-            self.path,
-            durable=self.durable,
-            fresh=not self.resume,
-            crash_label="runstate.append",
-        )
+        # handle can never overwrite a concurrent writer's records.  A
+        # resumed writer cuts a torn tail first, under the lock every
+        # appender holds.
+        with self._iplock:
+            self._writer: GroupCommitWriter | None = GroupCommitWriter(
+                self.path,
+                durable=self.durable,
+                fresh=not self.resume,
+                crash_label="runstate.append",
+            )
 
     # -- reading -----------------------------------------------------------------
     def lookup(self, fingerprint: str) -> dict[str, Any] | None:

@@ -3,7 +3,7 @@
 Layout under the host repository's ``.pvcs/fuzz/``::
 
     corpus.jsonl                durable append-only index (one record
-                                per admitted variant; torn-tail tolerant)
+                                per admitted variant)
     corpus/<variant16>/
         meta.json               scenario + mutation chain + verdict
         experiment/...          the variant's experiment files, ready to
@@ -15,9 +15,10 @@ and no record carries a timestamp — so two campaigns with the same seed
 produce byte-identical corpus trees (the determinism acceptance test
 diffs them).  ``meta.json`` lands via ``atomic_write`` and the index
 through one persistent group-commit writer (admission loops used to
-reopen and fsync the index per entry), the same durable-write contract
-as the rest of the store; ``popper doctor`` knows how to repair a torn
-index and sweep a variant directory whose ``meta.json`` never landed.
+reopen and fsync the index per entry); the index is a ledger under the
+torn-tail contract of :mod:`repro.common.groupcommit`, and ``popper
+doctor`` also sweeps a variant directory whose ``meta.json`` never
+landed.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.common.errors import FuzzError
+from repro.common.errors import FuzzError, LedgerError
 from repro.common.fsutil import atomic_write, ensure_dir
-from repro.common.groupcommit import GroupCommitWriter
+from repro.common.groupcommit import GroupCommitWriter, read_jsonl
 from repro.fuzz.mutators import Mutation
 from repro.fuzz.oracle import OracleVerdict
 from repro.fuzz.scenario import Scenario
@@ -158,18 +159,10 @@ class Corpus:
         """Parse the index, skipping a torn trailing line."""
         if not self.index_path.is_file():
             return []
-        records: list[dict] = []
-        for line in self.index_path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-        return records
+        try:
+            return read_jsonl(self.index_path)[0]
+        except LedgerError as exc:
+            raise FuzzError(f"bad corpus index: {exc}") from exc
 
     def __len__(self) -> int:
         return len(self.variants())

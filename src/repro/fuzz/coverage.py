@@ -8,18 +8,17 @@ degradation verdicts, CI matrix widths, and the outcome class itself.
 A variant that lights up a key no earlier variant produced is *novel*
 and earns a place in the corpus even when the oracle calls it boring.
 
-The map persists as ``.pvcs/fuzz/coverage.jsonl`` under the same
-durable-append / torn-tail-tolerant contract as every other JSONL file
-in the store — but through one persistent
+The map persists as ``.pvcs/fuzz/coverage.jsonl``, a ledger under the
+one torn-tail contract of :mod:`repro.common.groupcommit` — written
+through one persistent
 :class:`~repro.common.groupcommit.GroupCommitWriter` rather than a
 file open + fsync per record: the campaign's harvest loop appends
 thousands of records, and group commit amortizes the durability
 barrier across bounded windows (committed on :meth:`CoverageMap.flush`
 / :meth:`CoverageMap.close`, which the campaign calls at exit).
-Readers skip a torn trailing line and ``popper doctor`` truncates the
-tear.  Records carry no timestamps — two campaigns with the same seed
-write identical maps, which the determinism acceptance test diffs byte
-for byte.
+Records carry no timestamps — two campaigns with the same seed write
+identical maps, which the determinism acceptance test diffs byte for
+byte.
 """
 
 from __future__ import annotations
@@ -27,7 +26,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.common.groupcommit import GroupCommitWriter
+from repro.common.errors import FuzzError, LedgerError
+from repro.common.groupcommit import GroupCommitWriter, read_jsonl
 
 __all__ = ["CoverageMap", "coverage_keys_from_events"]
 
@@ -72,17 +72,12 @@ class CoverageMap:
     def _load(self) -> None:
         if not self.path.is_file():
             return
-        raw = self.path.read_text(encoding="utf-8")
-        for line in raw.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tail (or mid-file tear doctor will cut)
-            if isinstance(record, dict):
-                self._keys.update(str(k) for k in record.get("keys", ()))
+        try:
+            records, _torn = read_jsonl(self.path)
+        except LedgerError as exc:
+            raise FuzzError(f"bad coverage map: {exc}") from exc
+        for record in records:
+            self._keys.update(str(k) for k in record.get("keys", ()))
 
     def __len__(self) -> int:
         return len(self._keys)

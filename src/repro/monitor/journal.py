@@ -26,12 +26,11 @@ from __future__ import annotations
 import json
 import threading
 import time
-import warnings
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.common.errors import MonitorError
-from repro.common.groupcommit import GroupCommitWriter
+from repro.common.errors import LedgerError, MonitorError
+from repro.common.groupcommit import GroupCommitWriter, read_jsonl
 
 __all__ = [
     "JOURNAL_FILE",
@@ -202,37 +201,21 @@ class RunJournal:
 def load_journal(path: str | Path) -> tuple[list[dict[str, Any]], int]:
     """Parse a JSONL journal; returns ``(events, torn-lines-skipped)``.
 
-    A journal's only legitimate damage is a torn *trailing* line — the
-    single write a crash interrupted — so that line is skipped with a
-    warning and counted.  Garbage anywhere else means the file was
-    edited or corrupted and raises :class:`MonitorError` as before.
+    The ledger contract of :func:`~repro.common.groupcommit.read_jsonl`
+    (a torn trailing line is skipped and counted; garbage anywhere else
+    raises), plus: every record must be an event.
     """
     path = Path(path)
     if not path.is_file():
         raise MonitorError(f"no run journal at {path}")
-    events: list[dict[str, Any]] = []
-    skipped = 0
-    lines = path.read_text(encoding="utf-8").splitlines()
-    last = len(lines)
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if lineno == last:
-                warnings.warn(
-                    f"{path}: skipping torn trailing journal line "
-                    f"{lineno} (crashed append)",
-                    stacklevel=2,
-                )
-                skipped += 1
-                continue
-            raise MonitorError(f"{path}:{lineno}: bad journal line: {exc}") from exc
-        if not isinstance(record, dict) or "event" not in record:
-            raise MonitorError(f"{path}:{lineno}: journal line is not an event")
-        events.append(record)
-    return events, skipped
+    try:
+        events, torn = read_jsonl(path)
+    except LedgerError as exc:
+        raise MonitorError(f"bad journal line: {exc}") from exc
+    for number, event in enumerate(events, start=1):
+        if "event" not in event:
+            raise MonitorError(f"{path}: journal record {number} is not an event")
+    return events, torn
 
 
 def read_journal(path: str | Path) -> list[dict[str, Any]]:

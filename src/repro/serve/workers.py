@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.common.errors import ServeError
+from repro.engine.procsched import START_METHOD
 
 __all__ = ["ServeJob", "WorkerPool"]
 
@@ -111,11 +112,10 @@ def _worker_main(index: int, jobs_q, results_q, marker_path: str) -> None:
 class WorkerPool:
     """A supervised pool of job-running processes."""
 
-    def __init__(self, size: int = 2, start_method: str | None = None) -> None:
+    def __init__(self, size: int = 2) -> None:
         if size < 1:
             raise ServeError(f"worker pool size must be >= 1, got {size}")
         self.size = int(size)
-        self.start_method = start_method
         self.workers: list = []
         self._marker_paths: dict[int, Path] = {}
         self._dead_seen: set[int] = set()
@@ -131,11 +131,7 @@ class WorkerPool:
 
         if self._ctx is not None:
             raise ServeError("worker pool already started")
-        if self.start_method is not None:
-            self._ctx = mp.get_context(self.start_method)
-        else:
-            methods = mp.get_all_start_methods()
-            self._ctx = mp.get_context("fork" if "fork" in methods else "spawn")
+        self._ctx = mp.get_context(START_METHOD)
         self._jobs_q = self._ctx.Queue()
         self._results_q = self._ctx.Queue()
         self._scratch = Path(tempfile.mkdtemp(prefix="popper-serve-"))

@@ -13,6 +13,10 @@ orphan temp file          crash between mkstemp and os.replace      unlink (cont
 torn JSONL tail           crash mid-append to a journal/run-state   truncate to the last complete
                                                                     line (the interrupted task has
                                                                     no record and simply re-runs)
+glued JSONL line          an append onto a torn tail, by a writer   keep the whole record glued on
+                          that did not cut the tail first           (the longest suffix that parses
+                                                                    as one object), drop the
+                                                                    fragment before it
 partial index record      crash mid-publish of an artifact record   unlink (equivalent to a miss)
 dangling index record     record published, objects swept/lost      unlink (lookup treats it as a
                                                                     miss anyway; doctor tidies)
@@ -59,9 +63,12 @@ import os
 import re
 import shutil
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.common.errors import LedgerError
+from repro.common.groupcommit import read_jsonl, repaired_tail
 from repro.common.locking import LockInfo
 from repro.store.pack import PACK_DIR, PackError, _scan_pack, rebuild_index
 
@@ -130,33 +137,58 @@ def _in_opaque_dir(path: Path, root: Path) -> bool:
     return bool(_OPAQUE_DIRS & set(path.relative_to(root).parts[:-1]))
 
 
-def _jsonl_repaired(raw: bytes) -> bytes | None:
-    """The content a torn JSONL file should be truncated to, or ``None``
-    when the tail is healthy.
-
-    A crashed append leaves dangling bytes after the last newline (a
-    single flushed write can only be cut short, never split across
-    lines); a newline-terminated final line that fails to parse is also
-    treated as torn for robustness.
-    """
-    cut = raw.rfind(b"\n")
-    tail = raw[cut + 1 :]
-    if tail.strip():
+def _glued_record(line: bytes) -> bytes | None:
+    """The whole record glued onto a torn fragment in *line*: its longest
+    proper suffix that parses as one JSON object, or ``None``."""
+    start = line.find(b"{", 1)
+    while start > 0:
         try:
-            json.loads(tail)
-        except (json.JSONDecodeError, ValueError):
-            return raw[: cut + 1]
-        # The record landed whole, only its terminator is missing (the
-        # write was cut exactly before the newline): keep it.
-        return raw + b"\n"
-    if cut >= 0:
-        head, _, last = raw[:cut].rpartition(b"\n")
-        if last.strip():
-            try:
-                json.loads(last)
-            except (json.JSONDecodeError, ValueError):
-                return raw[: len(head) + 1] if head else b""
+            if isinstance(json.loads(line[start:]), dict):
+                return line[start:]
+        except ValueError:
+            pass
+        start = line.find(b"{", start + 1)
     return None
+
+
+def _jsonl_healed(path: Path, raw: bytes) -> tuple[bytes, str, str] | None:
+    """``(healed bytes, finding kind, detail)`` for a damaged ledger, or
+    ``None`` when it is whole.
+
+    First every glued line keeps its record and drops the fragment
+    (:func:`_glued_record`); then the torn tail is cut by the ledger's
+    own rule (:func:`~repro.common.groupcommit.repaired_tail`).  Other
+    garbage before the tail is no crash's debris and is left alone.
+    """
+    healed = raw
+    kind = "torn-jsonl"
+    notes: list[str] = []
+    while True:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                _records, torn = read_jsonl(path, healed)
+        except LedgerError as exc:
+            index = exc.line - 1
+        else:
+            # A torn write never ends in a newline: a terminated bad
+            # last line may be a fragment with a record glued on.
+            if not (torn and healed.endswith(b"\n")):
+                break
+            index = healed.rstrip().count(b"\n")
+        lines = healed.split(b"\n")
+        record = _glued_record(lines[index])
+        if record is None:
+            break
+        lines[index] = record
+        healed = b"\n".join(lines)
+        kind = "glued-jsonl"
+        notes.append(f"line {index + 1}: record glued onto a torn fragment")
+    cut = repaired_tail(healed)
+    if cut is not None:
+        notes.append(f"torn tail: {len(healed)} -> {len(cut)} bytes")
+        healed = cut
+    return (healed, kind, "; ".join(notes)) if notes else None
 
 
 def _iter_meta_files(root: Path):
@@ -238,7 +270,7 @@ def _scan_temps(root: Path, findings: list[Finding], tmp_age_s: float) -> None:
 
 
 def _scan_jsonl(root: Path, findings: list[Finding]) -> None:
-    """Journals / run-state files with a torn trailing line."""
+    """Ledgers with a torn trailing line or a record glued onto one."""
     for path in sorted(root.rglob("*.jsonl")):
         if not path.is_file() or _in_opaque_dir(path, root):
             continue
@@ -246,17 +278,11 @@ def _scan_jsonl(root: Path, findings: list[Finding]) -> None:
             raw = path.read_bytes()
         except OSError:
             continue
-        if not raw:
-            continue
-        repaired = _jsonl_repaired(raw)
-        if repaired is not None:
+        healed = _jsonl_healed(path, raw)
+        if healed is not None:
+            _content, kind, detail = healed
             findings.append(
-                Finding(
-                    kind="torn-jsonl",
-                    path=path,
-                    detail=f"torn tail: {len(raw)} -> {len(repaired)} bytes",
-                    action="rewrite tail",
-                )
+                Finding(kind=kind, path=path, detail=detail, action="rewrite")
             )
 
 
@@ -550,11 +576,12 @@ def repair(report: DoctorReport) -> DoctorReport:
                 "partial-queue-result",
             ):
                 finding.path.unlink(missing_ok=True)
-            elif finding.kind == "torn-jsonl":
-                raw = finding.path.read_bytes()
-                repaired_bytes = _jsonl_repaired(raw)
-                if repaired_bytes is not None:
-                    finding.path.write_bytes(repaired_bytes)
+            elif finding.kind in ("torn-jsonl", "glued-jsonl"):
+                # In place, not atomic_write: a live appender's handle
+                # must keep pointing at the ledger.
+                healed = _jsonl_healed(finding.path, finding.path.read_bytes())
+                if healed is not None:
+                    finding.path.write_bytes(healed[0])
             elif finding.kind in ("stale-fuzz-sandbox", "partial-corpus-entry"):
                 shutil.rmtree(finding.path, ignore_errors=True)
             elif finding.kind == "unindexed-pack":

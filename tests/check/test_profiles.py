@@ -105,7 +105,18 @@ class TestProfileHistory:
         history.attach(Profile("c1", series={"x": [1.0]}))
         with open(history.index_path, "a", encoding="utf-8") as handle:
             handle.write('{"commit": "c-torn", "ser')  # crash mid-append
-        assert history.commits() == ["c1"]
+        with pytest.warns(UserWarning, match="torn trailing"):
+            assert history.commits() == ["c1"]
+
+    def test_attach_after_a_torn_index_tail_is_kept(self, tmp_path):
+        history = ProfileHistory(tmp_path)
+        history.attach(Profile("c1", series={"x": [1.0]}))
+        with open(history.index_path, "a", encoding="utf-8") as handle:
+            handle.write('{"commit": "c-torn", "ser')  # crash mid-append
+        history.attach(Profile("c2", series={"x": [2.0]}))
+        history.attach(Profile("c3", series={"x": [3.0]}))
+        assert history.commits() == ["c1", "c2", "c3"]
+        assert len(history.index_path.read_text().splitlines()) == 3
 
     def test_profile_file_without_index_line_still_listed(self, tmp_path):
         history = ProfileHistory(tmp_path)

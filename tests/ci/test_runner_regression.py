@@ -1,11 +1,10 @@
 """Tests for the CI server and the performance-regression gate."""
 
-import numpy as np
 import pytest
 
 from repro.common.errors import CIError
 from repro.common.rng import derive_rng
-from repro.ci.regression import PerformanceHistory, RegressionGate
+from repro.ci.regression import RegressionGate
 from repro.ci.runner import BuildStatus, CIServer
 from repro.vcs.repository import Repository
 
@@ -171,90 +170,3 @@ class TestRegressionGate:
         gate = RegressionGate(threshold=0.10)
         report = gate.check(self._samples(10, label="a"), self._samples(14, label="b"))
         assert "REGRESSION" in str(report)
-
-
-class TestPerformanceHistory:
-    def test_rolling_baseline_and_judgement(self):
-        history = PerformanceHistory(window=3)
-        rng = derive_rng(5, "hist")
-        for i in range(4):
-            history.record(f"c{i}", 10 * (1 + 0.02 * rng.standard_normal(8)))
-        good = history.judge("good", 10 * (1 + 0.02 * rng.standard_normal(8)))
-        assert not good.regressed
-        bad = history.judge("bad", 13 * (1 + 0.02 * rng.standard_normal(8)))
-        assert bad.regressed
-
-    def test_regressed_commit_not_recorded(self):
-        history = PerformanceHistory(window=3)
-        history.record("base", [10.0, 10.1, 9.9, 10.0])
-        before = history.baseline.size
-        history.judge("bad", [14.0, 14.1, 13.9, 14.2])
-        assert history.baseline.size == before
-
-    def test_window_evicts_oldest(self):
-        history = PerformanceHistory(window=2)
-        history.record("a", [1.0, 1.0, 1.0])
-        history.record("b", [2.0, 2.0, 2.0])
-        history.record("c", [3.0, 3.0, 3.0])
-        assert set(np.unique(history.baseline)) == {2.0, 3.0}
-
-    def test_empty_baseline_rejected(self):
-        with pytest.raises(CIError):
-            PerformanceHistory().baseline
-
-
-class TestPerformanceHistoryPersistence:
-    def test_save_load_round_trip(self, tmp_path):
-        history = PerformanceHistory(metric="latency", window=3)
-        history.record("c1", [10.0, 10.2, 9.8])
-        history.record("c2", [10.1, 9.9, 10.0])
-        path = tmp_path / "history.json"
-        history.save(path)
-        loaded = PerformanceHistory.load(path)
-        assert loaded.metric == "latency"
-        assert loaded.window == 3
-        np.testing.assert_array_equal(loaded.baseline, history.baseline)
-
-    def test_save_is_versioned_and_terminated(self, tmp_path):
-        import json
-
-        history = PerformanceHistory()
-        history.record("c1", [1.0, 2.0, 3.0])
-        path = tmp_path / "history.json"
-        history.save(path)
-        text = path.read_text()
-        assert text.endswith("\n")
-        assert json.loads(text)["version"] == 1
-
-    def test_legacy_raw_mapping_still_loads(self, tmp_path):
-        """The pre-durable writer stored a bare {commit: [samples]} dict;
-        one-shot fallback keeps old .pvcs state loading."""
-        import json
-
-        path = tmp_path / "legacy.json"
-        path.write_text(
-            json.dumps({"c1": [10.0, 10.1, 9.9], "c2": [10.2, 9.8, 10.0]})
-        )
-        loaded = PerformanceHistory.load(path)
-        assert loaded.baseline.size == 6
-        # the next save rewrites versioned
-        loaded.save(path)
-        assert json.loads(path.read_text())["version"] == 1
-
-    def test_unreadable_or_malformed_errors(self, tmp_path):
-        with pytest.raises(CIError):
-            PerformanceHistory.load(tmp_path / "missing.json")
-        bad = tmp_path / "bad.json"
-        bad.write_text("[1, 2, 3]")
-        with pytest.raises(CIError):
-            PerformanceHistory.load(bad)
-        torn = tmp_path / "torn.json"
-        torn.write_text('{"c1": ["not-a-num')
-        with pytest.raises(CIError):
-            PerformanceHistory.load(torn)
-
-    def test_unsupported_version_rejected(self, tmp_path):
-        path = tmp_path / "future.json"
-        path.write_text('{"version": 99, "commits": []}')
-        with pytest.raises(CIError):
-            PerformanceHistory.load(path)

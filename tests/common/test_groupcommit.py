@@ -1,13 +1,19 @@
 """GroupCommitWriter: write-through visibility, window triggers, batch
 mode, and the crash-injection degradation that keeps torn-tail
-semantics deterministic."""
+semantics deterministic; the ledger's reader and its one tail rule."""
 
 import json
 
 import pytest
 
 from repro.common.crash import CrashPlan, SimulatedCrash, install_crash_plan
-from repro.common.groupcommit import GroupCommitWriter
+from repro.common.errors import LedgerError
+from repro.common.groupcommit import (
+    GroupCommitWriter,
+    read_jsonl,
+    repair_tail,
+    repaired_tail,
+)
 
 
 @pytest.fixture
@@ -31,11 +37,17 @@ class TestWriteThrough:
     def test_fresh_truncates_and_append_grows(self, path):
         path.write_text("stale\n")
         with GroupCommitWriter(path, fresh=True) as writer:
-            writer.append("a")
-        assert path.read_text() == "a\n"
+            writer.append('{"n": "a"}')
+        assert path.read_text() == '{"n": "a"}\n'
         with GroupCommitWriter(path) as writer:
-            writer.append("b")
-        assert path.read_text() == "a\nb\n"
+            writer.append('{"n": "b"}')
+        assert path.read_text() == '{"n": "a"}\n{"n": "b"}\n'
+
+    def test_append_never_glues_onto_a_torn_tail(self, path):
+        path.write_text('{"n": 1}\n{"n": 2, "tor')  # a crashed append
+        with GroupCommitWriter(path) as writer:
+            writer.append('{"n": 3}')
+        assert path.read_text() == '{"n": 1}\n{"n": 3}\n'
 
     def test_closed_writer_rejects_appends(self, path):
         writer = GroupCommitWriter(path)
@@ -177,3 +189,96 @@ class TestCrashInjection:
             coverage.close()
         finally:
             install_crash_plan(None)
+
+
+class TestReadJsonl:
+    @pytest.mark.parametrize(
+        "content, records, torn",
+        [
+            ("", [], 0),
+            ('{"a": 1}\n{"b": 2}\n', [{"a": 1}, {"b": 2}], 0),
+            # A whole record that only lacks its newline lost nothing.
+            ('{"a": 1}\n{"b": 2}', [{"a": 1}, {"b": 2}], 0),
+            ('{"a": 1}\n\n{"b": 2}\n\n', [{"a": 1}, {"b": 2}], 0),
+        ],
+        ids=["empty", "whole", "missing-newline", "blank-lines"],
+    )
+    def test_whole_ledgers(self, path, content, records, torn):
+        path.write_text(content)
+        assert read_jsonl(path) == (records, torn)
+
+    @pytest.mark.parametrize(
+        "content",
+        ['{"a": 1}\n{"b": 2, "c', '{"a": 1}\nnot json\n', '{"a": 1}\n{"b": "\xe2'],
+        ids=["dangling", "terminated-garbage", "torn-multibyte"],
+    )
+    def test_torn_trailing_line_skipped_with_warning(self, path, content):
+        path.write_bytes(content.encode("latin-1"))
+        with pytest.warns(UserWarning, match="torn trailing"):
+            assert read_jsonl(path) == ([{"a": 1}], 1)
+
+    @pytest.mark.parametrize(
+        "content, line",
+        [
+            ('{"a": 1}\nnot json\n{"b": 2}\n', 2),
+            ('{"a": 1}\n{"b": 2, "c{"d": 3}\n{"e": 4}\n', 2),
+            ('[1, 2]\n{"b": 2}\n', 1),
+            ('{"a": 1}\n"text"\n', 2),
+        ],
+        ids=["mid-file-garbage", "glued-line", "non-object", "non-object-tail"],
+    )
+    def test_damage_before_the_tail_names_path_and_line(self, path, content, line):
+        path.write_text(content)
+        with pytest.raises(LedgerError, match=f"{path.name}:{line}:") as info:
+            read_jsonl(path)
+        assert info.value.line == line
+
+    def test_content_in_hand_is_parsed_as_is(self, path):
+        assert read_jsonl(path, b'{"a": 1}\n') == ([{"a": 1}], 0)
+        assert not path.exists()
+
+
+class TestTailRule:
+    @pytest.mark.parametrize(
+        "raw, repaired",
+        [
+            (b"", None),
+            (b'{"a": 1}\n', None),
+            (b'{"a": 1}\n{"b": 2, "c', b'{"a": 1}\n'),
+            (b'{"a": 1}\nnot json\n', b'{"a": 1}\n'),
+            (b'{"a": 1}\n{"b": 2}', b'{"a": 1}\n{"b": 2}\n'),
+            (b'{"a": 1', b""),
+            (b'\n{"a": 1', b"\n"),
+        ],
+        ids=[
+            "empty",
+            "whole",
+            "dangling",
+            "terminated-garbage",
+            "missing-newline",
+            "torn-only-line",
+            "torn-after-blank",
+        ],
+    )
+    def test_repaired_tail(self, raw, repaired):
+        assert repaired_tail(raw) == repaired
+
+    def test_repair_tail_in_place(self, path):
+        repair_tail(path)  # missing file: nothing to do
+        assert not path.exists()
+        path.write_text('{"a": 1}\n{"b": 2, "c')
+        repair_tail(path)
+        assert path.read_text() == '{"a": 1}\n'
+        path.write_text('{"a": 1}\n{"b": 2}')
+        repair_tail(path)
+        assert path.read_text() == '{"a": 1}\n{"b": 2}\n'
+
+    @pytest.mark.parametrize("last", [10, 100_000], ids=["short", "longer-than-window"])
+    def test_repair_tail_of_a_large_ledger(self, path, last):
+        whole = "".join(json.dumps({"n": i, "pad": "x" * 100}) + "\n" for i in range(2000))
+        torn = json.dumps({"n": "torn", "pad": "y" * last})[:-2]
+        path.write_text(whole + torn)
+        repair_tail(path)
+        assert path.read_text() == whole
+        repair_tail(path)
+        assert path.read_text() == whole

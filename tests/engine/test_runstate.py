@@ -92,6 +92,21 @@ class TestRunStateStore:
         assert store.skipped == 1
         store.close()
 
+    def test_records_after_a_torn_tail_survive_the_next_resume(self, tmp_path):
+        # A crashed run leaves a torn tail; the resumed run must append
+        # on a fresh line, not glue its records onto the fragment.
+        path = tmp_path / "run-state.jsonl"
+        good = json.dumps({"fingerprint": "fa", "state": "ok"})
+        path.write_text(f'{good}\n{{"fingerprint": "fb", "sta')
+        with pytest.warns(UserWarning, match="torn trailing"):
+            store = RunStateStore(path, resume=True)
+        store.record("c", "fc", "ok")
+        store.record("d", "fd", "ok")
+        store.close()
+        with RunStateStore(path, resume=True) as store:
+            assert sorted(store.states()) == ["fa", "fc", "fd"]
+            assert store.skipped == 0
+
 
 @pytest.mark.parametrize("scheduler", BACKENDS, ids=BACKEND_IDS)
 class TestSchedulerResume:

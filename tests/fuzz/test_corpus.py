@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import FuzzError
 from repro.fuzz.corpus import Corpus, CorpusEntry
+from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.mutators import Mutation
 from repro.fuzz.oracle import OracleVerdict
 from repro.fuzz.scenario import Scenario
@@ -67,9 +68,23 @@ class TestDurability:
         corpus.add(entry)
         with open(corpus.index_path, "a", encoding="utf-8") as handle:
             handle.write('{"variant": "torn')  # crashed append
-        records = corpus.index_records()
+        with pytest.warns(UserWarning, match="torn trailing"):
+            records = corpus.index_records()
         assert len(records) == 1
         assert records[0]["variant"] == entry.variant
+
+    def test_coverage_key_after_a_torn_tail_survives_reload(self, tmp_path):
+        path = tmp_path / "coverage.jsonl"
+        coverage = CoverageMap(path)
+        coverage.observe("v1", {"k1"})
+        coverage.close()
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"keys": ["k2')  # crashed append
+        with pytest.warns(UserWarning, match="torn trailing"):
+            coverage = CoverageMap(path)
+        assert coverage.observe("v3", {"k3"}) == {"k3"}
+        coverage.close()
+        assert CoverageMap(path).keys() == {"k1", "k3"}
 
     def test_partial_entry_without_meta_is_invisible(self, corpus):
         entry = make_entry()

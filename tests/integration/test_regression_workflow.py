@@ -11,7 +11,7 @@ import pytest
 
 from repro.common.fsutil import write_text
 from repro.common.rng import SeedSequenceFactory
-from repro.ci.regression import PerformanceHistory, RegressionGate
+from repro.ci.regression import RegressionGate
 from repro.core.pipeline import ExperimentPipeline
 from repro.core.repo import PopperRepository
 from repro.gassyfs.experiment import ScalabilityConfig, run_point
@@ -42,24 +42,16 @@ def _samples(block_size: int, seeds: list[int], nodes: int = 4) -> list[float]:
 
 class TestRegressionOverCommits:
     def test_config_regression_flagged(self):
-        history = PerformanceHistory(
-            metric="gassyfs.git-compile.4nodes",
-            gate=RegressionGate(threshold=0.05, alpha=0.05),
+        gate = RegressionGate(threshold=0.05, alpha=0.05)
+        metric = "gassyfs.git-compile.4nodes"
+        baseline = _samples(1 << 20, [11, 12, 13, 14]) + _samples(
+            1 << 20, [21, 22, 23, 24]
         )
-        for i, seed in enumerate(((11, 12, 13, 14), (21, 22, 23, 24))):
-            history.record(f"good-{i}", _samples(1 << 20, list(seed)))
-        same = history.judge("same-config", _samples(1 << 20, [31, 32, 33, 34]))
+        same = gate.check(baseline, _samples(1 << 20, [31, 32, 33, 34]), metric)
         assert not same.regressed
-        bad = history.judge("tiny-blocks", _samples(1 << 12, [41, 42, 43, 44]))
+        bad = gate.check(baseline, _samples(1 << 12, [41, 42, 43, 44]), metric)
         assert bad.regressed
         assert bad.ratio > 1.05
-
-    def test_healthy_commit_joins_baseline(self):
-        history = PerformanceHistory(window=2)
-        history.record("c0", _samples(1 << 20, [1, 2, 3]))
-        before = history.baseline.size
-        history.judge("c1", _samples(1 << 20, [4, 5, 6]))
-        assert history.baseline.size > before
 
 
 class TestPipelineDeterminismAcrossRuns:

@@ -204,6 +204,23 @@ class TestReplay:
         assert torn == 0
         assert requeues and requeues[-1]["reason"] == "recovered"
 
+    def test_torn_journal_tail_loses_no_job_across_restarts(self, tmp_path, clock):
+        q = make_queue(tmp_path, clock)
+        q.submit("a")
+        q.close()
+        journal = tmp_path / "queue" / "journal.jsonl"
+        with open(journal, "a", encoding="utf-8") as handle:
+            handle.write('{"seq": 2, "ts": 1000.0, "ev')  # crashed append
+        with pytest.warns(UserWarning, match="torn trailing"):
+            restarted = make_queue(tmp_path, clock)
+        restarted.submit("b")
+        restarted.submit("c")
+        restarted.close()
+        again = make_queue(tmp_path, clock)
+        assert sorted(again.jobs) == ["job-000000", "job-000001", "job-000002"]
+        assert load_journal(journal)[1] == 0
+        again.close()
+
     def test_serials_and_seqs_continue_across_restart(self, tmp_path, clock):
         q = make_queue(tmp_path, clock)
         q.submit("a")

@@ -153,6 +153,38 @@ class TestTornJsonl:
         repair(diagnose(root))
         assert path.read_bytes() == b""
 
+    @pytest.mark.parametrize(
+        "tail, kept",
+        [
+            ("", ""),
+            ('{"task": "f4"}\n', '{"task": "f4"}\n'),
+            ('{"task": "f4", "st', ""),
+        ],
+        ids=["glued-last-line", "whole-tail", "torn-tail"],
+    )
+    def test_glued_line_keeps_the_appended_record(self, root, tail, kept):
+        """An append onto a torn tail by a writer that did not cut it
+        first glues a whole record onto the fragment: doctor keeps the
+        record and drops the fragment."""
+        path = root / "experiments" / "e" / "run-state.jsonl"
+        path.parent.mkdir(parents=True)
+        glued = '{"task": "f2", "fing{"task": "f3", "state": "ok"}\n'
+        path.write_text('{"task": "f1"}\n' + glued + tail)
+        report = diagnose(root)
+        assert kinds(report) == ["glued-jsonl"]
+        assert "line 2" in report.findings[0].detail
+        repair(report)
+        healed = '{"task": "f1"}\n{"task": "f3", "state": "ok"}\n'
+        assert path.read_text() == healed + kept
+        assert diagnose(root).clean
+
+    def test_mid_file_garbage_is_not_crash_debris(self, root):
+        path = root / "journal.jsonl"
+        content = '{"event": "ok"}\nnot json\n{"event": "late"}\n'
+        path.write_text(content)
+        assert diagnose(root).clean
+        assert path.read_text() == content
+
     def test_object_pool_contents_never_parsed(self, root):
         """Payloads under objects/ are opaque; a stored .jsonl artifact
         must never be 'repaired' by the doctor."""
