@@ -11,11 +11,9 @@ Design:
 * **Pickle-safety audit, then fallback.** Payloads must cross a process
   boundary.  Before spawning anything the scheduler audits every task
   (:func:`audit_pickle_safety`); closures and lambdas fail the audit and
-  the run demotes itself to the configured in-process fallback
-  (threaded by default), journaling a ``scheduler_fallback`` event —
-  or raises :class:`~repro.common.errors.UnpicklablePayloadError` when
-  ``fallback=None``.  A task whose *dependency values* turn out
-  unpicklable at dispatch time runs inline in the parent instead.
+  the run demotes itself to the :class:`ThreadedScheduler`, journaling a
+  ``scheduler_fallback`` event.  A task whose *dependency values* turn
+  out unpicklable at dispatch time runs inline in the parent instead.
 * **Work-stealing over topological levels.** All ready tasks — from
   whichever topological levels are currently unlocked — share one job
   queue; an idle worker pulls the next ready task regardless of level,
@@ -50,6 +48,11 @@ Design:
   :class:`~repro.common.errors.WorkerCrashError`; a replacement worker
   is spawned and the rest of the graph keeps running.
 
+The processes themselves come from :class:`WorkerPool`, the one
+supervised fork pool in the code base: ``popper serve`` runs its jobs on
+the same class (:mod:`repro.serve.workers`), so both share one marker
+file per worker, one grace-poll reap and one kill -9 attribution rule.
+
 Values and errors returned by workers are round-trip-checked before
 shipping: an unpicklable task value fails the task with
 :class:`UnpicklablePayloadError` (dependents cannot receive it), and an
@@ -59,6 +62,7 @@ original type name and message.
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 import queue as queue_mod
@@ -86,20 +90,206 @@ from repro.engine.graph import (
     TaskState,
 )
 from repro.engine.resilience import RetryPolicy
-from repro.engine.scheduler import (
-    RunOptions,
-    Scheduler,
-    SerialScheduler,
-    ThreadedScheduler,
-)
+from repro.engine.scheduler import RunOptions, Scheduler, ThreadedScheduler
 from repro.monitor.journal import RunJournal, load_journal, replay_events
 from repro.monitor.tracing import SPAN_METRIC, Span, Tracer
 
-__all__ = ["ProcessScheduler", "audit_pickle_safety", "START_METHOD"]
+__all__ = [
+    "ProcessScheduler",
+    "WorkerPool",
+    "audit_pickle_safety",
+    "worker_loop",
+    "START_METHOD",
+]
 
 #: How worker processes start: fork is cheapest and inherits the
 #: installed crash plan; spawn is the portable fallback.
 START_METHOD = "fork" if hasattr(os, "fork") else "spawn"
+
+
+# -- the worker pool ---------------------------------------------------------------
+
+
+def _marker_path(scratch: str | Path, index: int) -> Path:
+    return Path(scratch) / f"running-{index}"
+
+
+def worker_loop(
+    index: int, jobs_q, results_q, scratch: str, step: Callable[[Any], dict]
+) -> None:
+    """The one worker loop: pull job blobs until the ``None`` sentinel.
+
+    Before each job runs, its ``job_id`` is written *synchronously* to
+    this worker's marker file.  A queue message would not survive a hard
+    crash (``os._exit`` / ``kill -9`` ends ``mp.Queue``'s feeder thread
+    before it flushes), but the marker file does — it is how
+    :meth:`WorkerPool.reap` attributes an unreported job to a dead
+    worker.  *step* runs one job and returns its record: a dict whose
+    ``"job"`` key names the job.
+    """
+    marker = _marker_path(scratch, index)
+    while True:
+        blob = jobs_q.get()
+        if blob is None:
+            break
+        job = pickle.loads(blob)
+        marker.write_text(job.job_id, encoding="utf-8")
+        results_q.put(pickle.dumps(step(job)))
+        marker.write_text("", encoding="utf-8")
+
+
+class WorkerPool:
+    """A supervised pool of worker processes with kill -9 attribution.
+
+    *target* is the worker entry, called in each child as
+    ``target(index, jobs_q, results_q, scratch)``; it runs
+    :func:`worker_loop` with the caller's run step.  Jobs carry a
+    ``job_id`` and come back from :meth:`poll` as record dicts whose
+    ``"job"`` key names them.  A worker that dies without reporting is
+    attributed by :meth:`reap` from its marker file, one grace poll
+    after it is first seen dead, so a record that raced the death is
+    drained by :meth:`poll` rather than written off.
+    """
+
+    def __init__(self, size: int, target: Callable[..., None]) -> None:
+        if size < 1:
+            raise EngineError(f"worker pool size must be >= 1, got {size}")
+        self.size = int(size)
+        self.target = target
+        self.workers: list = []
+        self.scratch: Path | None = None
+        self._ctx = None
+        self._jobs_q = None
+        self._results_q = None
+
+    # -- lifecycle ---------------------------------------------------------------
+    def start(self) -> None:
+        import multiprocessing as mp
+
+        if self._ctx is not None:
+            raise EngineError("worker pool already started")
+        self._ctx = mp.get_context(START_METHOD)
+        self._jobs_q = self._ctx.Queue()
+        self._results_q = self._ctx.Queue()
+        self.scratch = Path(tempfile.mkdtemp(prefix="popper-pool-"))
+        self._dead_seen: set[int] = set()
+        self._reaped: set[int] = set()
+        for _ in range(self.size):
+            self._spawn()
+
+    def _spawn(self) -> None:
+        index = len(self.workers)
+        proc = self._ctx.Process(
+            target=self.target,
+            args=(index, self._jobs_q, self._results_q, str(self.scratch)),
+            daemon=True,
+            name=f"popper-worker-{index}",
+        )
+        proc.start()
+        self.workers.append(proc)
+
+    def drain(self, timeout_s: float = 10.0) -> None:
+        """Stop the pool: sentinel every live worker, join (terminating
+        a wedged one), release the queues, remove the scratch directory."""
+        if self._ctx is None:
+            return
+        for proc in self.workers:
+            if proc.is_alive():
+                self._jobs_q.put(None)
+        deadline = time.monotonic() + timeout_s
+        for proc in self.workers:
+            proc.join(max(deadline - time.monotonic(), 0.1))
+            if proc.is_alive():  # pragma: no cover - wedged worker
+                proc.terminate()
+                proc.join(1.0)
+        # mp.Queue feeder threads must unblock before interpreter exit.
+        for q in (self._jobs_q, self._results_q):
+            try:
+                q.cancel_join_thread()
+                q.close()
+            except (OSError, ValueError):
+                pass
+        shutil.rmtree(self.scratch, ignore_errors=True)
+        self._ctx = None
+        self._jobs_q = None
+        self._results_q = None
+        self.workers = []
+
+    # -- introspection -----------------------------------------------------------
+    def alive_count(self) -> int:
+        return sum(1 for p in self.workers if p.is_alive())
+
+    def _marker_job(self, index: int) -> str:
+        try:
+            text = _marker_path(self.scratch, index).read_text(encoding="utf-8")
+        except OSError:
+            return ""
+        return text.strip()
+
+    def current_jobs(self) -> dict[int, str]:
+        """Marker-file view of what each live worker is running now.
+
+        A ``kill -9`` aimed at a worker listed here hits one that has
+        *definitely* started its job (the marker write precedes the run,
+        synchronously).
+        """
+        running: dict[int, str] = {}
+        for index, proc in enumerate(self.workers):
+            job_id = self._marker_job(index) if proc.is_alive() else ""
+            if job_id:
+                running[index] = job_id
+        return running
+
+    # -- dispatch / results ------------------------------------------------------
+    def dispatch(self, job) -> None:
+        """Queue *job* for the next idle worker; it is pickled here, so
+        an unpicklable job raises in the caller."""
+        if self._jobs_q is None:
+            raise EngineError("worker pool not started")
+        self._jobs_q.put(pickle.dumps(job))
+
+    def poll(self, timeout_s: float = 0.05) -> list[dict]:
+        """Drain finished-job records (waits up to *timeout_s* for one)."""
+        if self._results_q is None:
+            return []
+        records: list[dict] = []
+        try:
+            blob = self._results_q.get(timeout=max(timeout_s, 0.0))
+            while True:
+                records.append(pickle.loads(blob))
+                blob = self._results_q.get_nowait()  # the rest, no wait
+        except queue_mod.Empty:
+            pass
+        return records
+
+    def reap(self, respawn: bool = True) -> dict[str, str]:
+        """Attribute dead workers' jobs; respawn replacements if asked.
+
+        Returns ``{job id: how its worker died}`` for every job a dead
+        worker never reported (a worker killed between jobs has an
+        empty marker and loses none).  Each dead worker is attributed on
+        the call *after* the one that first sees it dead.
+        """
+        lost: dict[str, str] = {}
+        for index in range(len(self.workers)):
+            proc = self.workers[index]
+            if index in self._reaped or proc.is_alive():
+                continue
+            if index not in self._dead_seen:
+                self._dead_seen.add(index)  # grace: attribute next call
+                continue
+            self._reaped.add(index)
+            job_id = self._marker_job(index)
+            if job_id:
+                lost[job_id] = (
+                    f"worker process {index} died (exit code {proc.exitcode})"
+                )
+            if respawn:
+                self._spawn()
+        return lost
+
+
+# -- the engine's jobs -------------------------------------------------------------
 
 
 def _executable(payload: Any) -> Any:
@@ -129,7 +319,7 @@ def audit_pickle_safety(graph: TaskGraph) -> dict[str, str]:
 class _Job:
     """One dispatched task: everything a worker needs to run it."""
 
-    task_id: str
+    job_id: str
     payload: Any
     results: dict[str, Any]
     states: dict[str, TaskState]
@@ -151,8 +341,9 @@ class _WorkerRunner(Scheduler):
     backend = "process"
 
 
-def _sanitize(record: dict, optional: bool) -> bytes:
-    """Pickle a done-record, degrading unshippable values/errors.
+def _sanitize(record: dict, optional: bool) -> dict:
+    """A done-record that is safe to ship, degrading unshippable
+    values/errors.
 
     The round trip runs worker-side so a bad record can never poison the
     result queue (``mp.Queue`` pickles in a background thread whose
@@ -160,9 +351,8 @@ def _sanitize(record: dict, optional: bool) -> bytes:
     parent).
     """
     try:
-        blob = pickle.dumps(("done", record))
-        pickle.loads(blob)
-        return blob
+        pickle.loads(pickle.dumps(record))
+        return record
     except Exception:
         pass
     try:
@@ -173,7 +363,7 @@ def _sanitize(record: dict, optional: bool) -> bytes:
             state=(TaskState.DEGRADED if optional else TaskState.FAILED).value,
             value=None,
             error=UnpicklablePayloadError(
-                f"task {record['task']!r} returned a value that cannot "
+                f"task {record['job']!r} returned a value that cannot "
                 f"cross the process boundary ({type(exc).__name__}: {exc})"
             ),
         )
@@ -184,7 +374,7 @@ def _sanitize(record: dict, optional: bool) -> bytes:
         record = dict(
             record, error=EngineError(f"{type(error).__name__}: {error}")
         )
-    return pickle.dumps(("done", record))
+    return record
 
 
 def _run_job(
@@ -192,7 +382,7 @@ def _run_job(
 ) -> dict:
     """Execute one job; returns the (not yet sanitized) done-record."""
     task = Task(
-        id=job.task_id,
+        id=job.job_id,
         payload=job.payload,
         dependencies=tuple(job.states),
         retry=job.retry,
@@ -213,15 +403,15 @@ def _run_job(
         )
     except BaseException as exc:
         # _run_task already recorded + journaled the ABORTED outcome.
-        outcome = result.outcomes.get(job.task_id) or TaskOutcome(
-            task_id=job.task_id,
+        outcome = result.outcomes.get(job.job_id) or TaskOutcome(
+            task_id=job.job_id,
             state=TaskState.ABORTED,
             error=exc,
             seconds=time.perf_counter() - started,
         )
     last_seq = len(journal) if journal is not None else 0
     return {
-        "task": job.task_id,
+        "job": job.job_id,
         "state": outcome.state.value,
         "value": outcome.value,
         "error": outcome.error,
@@ -232,31 +422,24 @@ def _run_job(
     }
 
 
-def _worker_main(
-    index: int, jobs_q, results_q, shard_path: str | None, marker_path: str
-) -> None:
-    """Worker loop: pull job blobs until the ``None`` sentinel arrives.
+def _shard_path(scratch: str | Path, index: int) -> Path:
+    return Path(scratch) / f"shard-{index}.jsonl"
 
-    Before each payload runs, the task id is written *synchronously* to
-    this worker's marker file.  A queue message would not survive a hard
-    crash (``os._exit`` kills ``mp.Queue``'s feeder thread before it
-    flushes), but the marker file does — it is how the parent attributes
-    an unreported task to a dead worker.
-    """
-    journal = RunJournal(shard_path) if shard_path else None
+
+def _engine_worker(
+    journaled: bool, index: int, jobs_q, results_q, scratch: str
+) -> None:
+    """The engine's worker entry: one journal shard and one
+    :class:`_WorkerRunner` per process, then :func:`worker_loop`."""
+    journal = RunJournal(_shard_path(scratch, index)) if journaled else None
     tracer = Tracer(journal=journal)
     runner = _WorkerRunner()
-    marker = Path(marker_path)
+
+    def step(job: _Job) -> dict:
+        return _sanitize(_run_job(runner, job, tracer, index), job.optional)
+
     try:
-        while True:
-            blob = jobs_q.get()
-            if blob is None:
-                break
-            job: _Job = pickle.loads(blob)
-            marker.write_text(job.task_id, encoding="utf-8")
-            record = _run_job(runner, job, tracer, index)
-            results_q.put(_sanitize(record, job.optional))
-            marker.write_text("", encoding="utf-8")
+        worker_loop(index, jobs_q, results_q, scratch, step)
     finally:
         if journal is not None:
             journal.close()
@@ -271,32 +454,12 @@ class ProcessScheduler(Scheduler):
     #: workers and cancellation (seconds).
     POLL_S = 0.1
 
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        fallback: str | None = "threaded",
-    ) -> None:
+    def __init__(self, max_workers: int | None = None) -> None:
         if max_workers is None:
             max_workers = os.cpu_count() or 1
         if max_workers < 1:
             raise EngineError(f"max_workers must be >= 1, got {max_workers}")
-        if fallback not in (None, "serial", "threaded"):
-            raise EngineError(
-                f"fallback must be 'serial', 'threaded' or None, got {fallback!r}"
-            )
         self.max_workers = max_workers
-        self.fallback = fallback
-
-    # -- plumbing ----------------------------------------------------------------
-    def _context(self):
-        import multiprocessing as mp
-
-        return mp.get_context(START_METHOD)
-
-    def _fallback_scheduler(self) -> Scheduler:
-        if self.fallback == "serial":
-            return SerialScheduler()
-        return ThreadedScheduler(max_workers=self.max_workers)
 
     # -- execution ---------------------------------------------------------------
     def _execute(self, graph, result, tracer, parent, options):
@@ -308,12 +471,7 @@ class ProcessScheduler(Scheduler):
             detail = "; ".join(
                 f"{tid}: {reason}" for tid, reason in sorted(problems.items())
             )
-            if self.fallback is None:
-                raise UnpicklablePayloadError(
-                    f"{len(problems)} task payload(s) cannot cross a "
-                    f"process boundary: {detail}"
-                )
-            demoted = self._fallback_scheduler()
+            demoted = ThreadedScheduler(max_workers=self.max_workers)
             if journal is not None:
                 journal.event(
                     "scheduler_fallback",
@@ -332,19 +490,14 @@ class ProcessScheduler(Scheduler):
         self._run_pool(graph, result, tracer, parent, options)
 
     def _run_pool(self, graph, result, tracer, parent, options):
-        ctx = self._context()
         journal = tracer.journal
         cancel = options.cancel
         parent_id = parent.span_id if parent is not None else None
         ready = ReadySet(graph)
-        jobs_q = ctx.Queue()
-        results_q = ctx.Queue()
-        workers: list = []
-        reaped: set[int] = set()
-        dead_seen: set[int] = set()
-        shard_paths: dict[int, Path] = {}
-        marker_paths: dict[int, Path] = {}
-        scratch = Path(tempfile.mkdtemp(prefix="popper-procsched-"))
+        pool = WorkerPool(
+            min(self.max_workers, len(graph)),
+            functools.partial(_engine_worker, journal is not None),
+        )
         inflight: set[str] = set()
         done_records: dict[str, dict] = {}
         abort_error: BaseException | None = None
@@ -353,29 +506,6 @@ class ProcessScheduler(Scheduler):
             return abort_error is not None or (
                 cancel is not None and cancel.cancelled
             )
-
-        def spawn_worker() -> None:
-            index = len(workers)
-            shard = None
-            if journal is not None:
-                shard = scratch / f"shard-{index}.jsonl"
-                shard_paths[index] = shard
-            marker = scratch / f"running-{index}"
-            marker_paths[index] = marker
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(
-                    index,
-                    jobs_q,
-                    results_q,
-                    str(shard) if shard else None,
-                    str(marker),
-                ),
-                daemon=True,
-                name=f"popper-worker-{index}",
-            )
-            proc.start()
-            workers.append(proc)
 
         def advance(task_id: str, outcome: TaskOutcome) -> list[str]:
             """Ready-set bookkeeping after one finished outcome."""
@@ -404,7 +534,7 @@ class ProcessScheduler(Scheduler):
                     pending.extend(advance(tid, short))
                     continue
                 job = _Job(
-                    task_id=tid,
+                    job_id=tid,
                     payload=_executable(task.payload),
                     results={
                         dep: result.outcomes[dep].value
@@ -426,7 +556,7 @@ class ProcessScheduler(Scheduler):
                     faults=options.faults,
                 )
                 try:
-                    blob = pickle.dumps(job)
+                    pool.dispatch(job)
                 except Exception as exc:
                     # A dependency value that cannot cross the boundary:
                     # run this one task in the parent instead.
@@ -448,12 +578,11 @@ class ProcessScheduler(Scheduler):
                     result.outcomes[tid] = outcome
                     pending.extend(advance(tid, outcome))
                     continue
-                jobs_q.put(blob)
                 inflight.add(tid)
 
         def on_done(record: dict) -> None:
             nonlocal abort_error
-            tid = record["task"]
+            tid = record["job"]
             if tid not in inflight:
                 # Already written off (e.g. its worker was presumed dead
                 # and the record surfaced late): first verdict stands.
@@ -501,31 +630,12 @@ class ProcessScheduler(Scheduler):
             dispatch(advance(tid, outcome))
 
         def reap_dead_workers() -> None:
-            for index, proc in enumerate(workers):
-                if index in reaped or proc.exitcode is None:
-                    continue
-                if index not in dead_seen:
-                    # Grace poll: anything the dying worker managed to
-                    # flush into the result pipe gets read first, so a
-                    # task is only written off once its record is
-                    # provably absent.
-                    dead_seen.add(index)
-                    continue
-                reaped.add(index)
-                marker = marker_paths.get(index)
-                tid = ""
-                if marker is not None and marker.is_file():
-                    tid = marker.read_text(encoding="utf-8").strip()
-                if tid and tid in inflight:
-                    fail_inflight(
-                        tid,
-                        f"worker process {index} died "
-                        f"(exit code {proc.exitcode})",
-                    )
-                if inflight and not draining():
-                    # Keep the pool at strength for the remaining graph.
-                    spawn_worker()
-            if inflight and all(p.exitcode is not None for p in workers):
+            # Keep the pool at strength for the remaining graph unless
+            # draining.
+            for tid, reason in pool.reap(respawn=not draining()).items():
+                if tid in inflight:
+                    fail_inflight(tid, reason)
+            if inflight and pool.alive_count() == 0:
                 # No worker left to ever report these (e.g. a die-off
                 # while draining): fail them rather than spin forever.
                 for tid in sorted(inflight):
@@ -537,12 +647,15 @@ class ProcessScheduler(Scheduler):
             Merged per task in graph insertion order, so the combined
             journal is independent of which worker ran which task; span
             ids are remapped into the parent tracer's id space and shard
-            roots are re-parented under the calling span.
+            roots are re-parented under the calling span.  Each worker
+            flushes its events to the kernel before it reports, so the
+            shard of every received record is complete.
             """
             if journal is None:
                 return
             shard_events: dict[int, list[dict]] = {}
-            for index, path in shard_paths.items():
+            for index in range(len(pool.workers)):
+                path = _shard_path(pool.scratch, index)
                 if not path.is_file() or path.stat().st_size == 0:
                     continue
                 try:
@@ -590,31 +703,19 @@ class ProcessScheduler(Scheduler):
                     self._graft_spans(tracer, events, local, parent_id)
 
         try:
-            for _ in range(min(self.max_workers, len(graph))):
-                spawn_worker()
+            pool.start()
             dispatch(ready.take_ready())
             while inflight:
-                try:
-                    message = pickle.loads(results_q.get(timeout=self.POLL_S))
-                except queue_mod.Empty:
+                records = pool.poll(self.POLL_S)
+                for record in records:
+                    on_done(record)
+                if not records:
                     reap_dead_workers()
-                    continue
-                on_done(message[1])
         finally:
-            for _ in workers:
-                jobs_q.put(None)
-            for proc in workers:
-                proc.join(timeout=5.0)
-            for proc in workers:
-                if proc.exitcode is None:  # pragma: no cover - wedged worker
-                    proc.terminate()
-                    proc.join(timeout=5.0)
-            jobs_q.cancel_join_thread()
-            results_q.cancel_join_thread()
             try:
                 merge_shards()
             finally:
-                shutil.rmtree(scratch, ignore_errors=True)
+                pool.drain()
 
         if abort_error is not None:
             raise abort_error

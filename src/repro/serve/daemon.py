@@ -46,7 +46,7 @@ from repro.engine import task_fingerprint
 from repro.engine.resilience import RetryPolicy
 from repro.serve.api import make_server
 from repro.serve.queue import QUEUE_DIR, JobQueue, QueuedJob
-from repro.serve.workers import ServeJob, WorkerPool
+from repro.serve.workers import ServeJob, WorkerPool, _worker_main
 
 __all__ = ["PopperServer"]
 
@@ -78,7 +78,7 @@ class PopperServer:
             clock=clock,
             durable=durable,
         )
-        self.pool = WorkerPool(size=workers)
+        self.pool = WorkerPool(workers, _worker_main)
         self.host = host
         self.port = port
         self.httpd = None

@@ -17,6 +17,9 @@ glued JSONL line          an append onto a torn tail, by a writer   keep the who
                           that did not cut the tail first           (the longest suffix that parses
                                                                     as one object), drop the
                                                                     fragment before it
+corrupt JSONL ledger      no crash: garbage before the tail (a      report only (names the
+                          hand edit, another program's write)       ``path:line`` every ledger
+                                                                    reader rejects)
 partial index record      crash mid-publish of an artifact record   unlink (equivalent to a miss)
 dangling index record     record published, objects swept/lost      unlink (lookup treats it as a
                                                                     miss anyway; doctor tidies)
@@ -49,11 +52,18 @@ Everything else on disk is either atomic (refs, config) or disposable
 ``popper doctor`` after *any* crash returns the repository to a state
 where ``popper run --resume`` completes correctly.
 
+JSONL ledgers are popper's own files only: every ``.jsonl`` inside a
+``.pvcs`` tree (object pools excepted) and every run journal or
+run-state file (``journal.jsonl`` / ``run-state.jsonl`` in experiment
+directories).  Any other ``.jsonl`` in the repository is user data and
+is never parsed or rewritten.
+
 ``diagnose()`` only reports; ``repair()`` applies the table.  Both are
 deliberately independent of the higher-level stores — doctor must work
-precisely when the repository is too damaged for them to open.  (The
-one exception is :mod:`repro.store.pack`, whose parser depends only on
-``repro.common`` and is exactly what pack repair needs.)
+precisely when the repository is too damaged for them to open.  (It
+takes only the ledgers' file names from them; the one exception is
+:mod:`repro.store.pack`, whose parser depends only on ``repro.common``
+and is exactly what pack repair needs.)
 """
 
 from __future__ import annotations
@@ -70,6 +80,8 @@ from pathlib import Path
 from repro.common.errors import LedgerError
 from repro.common.groupcommit import read_jsonl, repaired_tail
 from repro.common.locking import LockInfo
+from repro.engine.runstate import RUN_STATE_FILE
+from repro.monitor.journal import JOURNAL_FILE
 from repro.store.pack import PACK_DIR, PackError, _scan_pack, rebuild_index
 
 __all__ = ["Finding", "DoctorReport", "diagnose", "repair"]
@@ -84,6 +96,9 @@ _TEMP_PREFIXES = (".ingest-", ".mat-", ".pack-tmp-")
 _OPAQUE_DIRS = {"objects", "quarantine"}
 
 _META_DIR = ".pvcs"
+
+#: Ledger file names outside ``.pvcs`` trees (experiment directories).
+_LEDGER_NAMES = (JOURNAL_FILE, RUN_STATE_FILE)
 
 
 @dataclass
@@ -158,17 +173,20 @@ def _jsonl_healed(path: Path, raw: bytes) -> tuple[bytes, str, str] | None:
     First every glued line keeps its record and drops the fragment
     (:func:`_glued_record`); then the torn tail is cut by the ledger's
     own rule (:func:`~repro.common.groupcommit.repaired_tail`).  Other
-    garbage before the tail is no crash's debris and is left alone.
+    garbage before the tail is no crash's debris: the ledger is reported
+    ``corrupt-jsonl`` with the reader's ``path:line`` and left alone.
     """
     healed = raw
     kind = "torn-jsonl"
     notes: list[str] = []
     while True:
+        error: LedgerError | None = None
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 _records, torn = read_jsonl(path, healed)
         except LedgerError as exc:
+            error = exc
             index = exc.line - 1
         else:
             # A torn write never ends in a newline: a terminated bad
@@ -179,6 +197,8 @@ def _jsonl_healed(path: Path, raw: bytes) -> tuple[bytes, str, str] | None:
         lines = healed.split(b"\n")
         record = _glued_record(lines[index])
         if record is None:
+            if error is not None:
+                return raw, "corrupt-jsonl", str(error)
             break
         lines[index] = record
         healed = b"\n".join(lines)
@@ -269,10 +289,17 @@ def _scan_temps(root: Path, findings: list[Finding], tmp_age_s: float) -> None:
         )
 
 
+def _is_ledger(path: Path, root: Path) -> bool:
+    return path.is_file() and not _in_opaque_dir(path, root) and (
+        _META_DIR in path.relative_to(root).parts or path.name in _LEDGER_NAMES
+    )
+
+
 def _scan_jsonl(root: Path, findings: list[Finding]) -> None:
-    """Ledgers with a torn trailing line or a record glued onto one."""
+    """Ledgers with a torn trailing line or a record glued onto one, and
+    (report-only) ledgers no reader accepts."""
     for path in sorted(root.rglob("*.jsonl")):
-        if not path.is_file() or _in_opaque_dir(path, root):
+        if not _is_ledger(path, root):
             continue
         try:
             raw = path.read_bytes()
@@ -281,8 +308,9 @@ def _scan_jsonl(root: Path, findings: list[Finding]) -> None:
         healed = _jsonl_healed(path, raw)
         if healed is not None:
             _content, kind, detail = healed
+            action = "" if kind == "corrupt-jsonl" else "rewrite"
             findings.append(
-                Finding(kind=kind, path=path, detail=detail, action="rewrite")
+                Finding(kind=kind, path=path, detail=detail, action=action)
             )
 
 

@@ -5,12 +5,17 @@ task to a worker process with ``pickle``, and the tests cover exactly
 that contract: the pickle-safety audit (and its threaded fallback),
 dependency values crossing the boundary, cache/checkpoint composition,
 retries and fault plans inside workers, deterministic journal-shard
-merging, dead-worker containment, and cooperative cancellation.
+merging, dead-worker containment, and cooperative cancellation — and
+the :class:`WorkerPool` under it (the pool ``popper serve`` runs on too):
+grace-poll kill -9 attribution, respawn, and drain.
 """
 
+import multiprocessing
 import os
+import signal
 import threading
 import time
+from dataclasses import dataclass
 
 import pytest
 
@@ -33,6 +38,7 @@ from repro.engine import (
     audit_pickle_safety,
     resolve_backend,
 )
+from repro.engine.procsched import WorkerPool, worker_loop
 from repro.engine.scheduler import SerialScheduler, ThreadedScheduler
 from repro.monitor.journal import RunJournal, read_journal
 from repro.monitor.tracing import Tracer
@@ -158,13 +164,6 @@ def test_unpicklable_payload_falls_back_to_threaded(tmp_path):
         e["event"] == "span_end" and e["name"] == "task/closure"
         for e in events
     )
-
-
-def test_fallback_none_raises_unpicklable_payload_error():
-    graph = TaskGraph()
-    graph.add("closure", lambda ctx: 1)
-    with pytest.raises(UnpicklablePayloadError, match="closure"):
-        ProcessScheduler(max_workers=2, fallback=None).run(graph)
 
 
 def test_unpicklable_return_value_fails_the_task():
@@ -295,6 +294,106 @@ def test_merged_journal_is_one_tree_in_graph_order(tmp_path):
         "  task/c (ok)",
         "  task/total (ok)",
     ]
+
+
+# -- the worker pool -------------------------------------------------------------
+
+
+@dataclass
+class Nap:
+    """A pool job: sleep, then report."""
+
+    job_id: str
+    seconds: float = 0.0
+
+
+def nap_worker(index, jobs_q, results_q, scratch):
+    def step(job):
+        time.sleep(job.seconds)
+        return {"job": job.job_id, "worker": index}
+
+    worker_loop(index, jobs_q, results_q, scratch, step)
+
+
+def wait_for(predicate, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        value = predicate()
+        if value:
+            return value
+        time.sleep(0.01)
+    raise AssertionError("condition not reached in time")
+
+
+def kill_worker(pool, index):
+    os.kill(pool.workers[index].pid, signal.SIGKILL)
+    pool.workers[index].join(5.0)
+
+
+def test_pool_attributes_a_killed_job_after_the_grace_poll_and_respawns():
+    pool = WorkerPool(2, nap_worker)
+    pool.start()
+    try:
+        pool.dispatch(Nap("slow", 30.0))
+        running = wait_for(pool.current_jobs)
+        [(index, job_id)] = running.items()
+        assert job_id == "slow"
+        kill_worker(pool, index)
+        # The first reap only sees the death; attribution waits a poll.
+        assert pool.reap() == {}
+        assert pool.alive_count() == 1
+        lost = pool.reap()
+        assert list(lost) == ["slow"]
+        assert f"worker process {index} died (exit code -9)" == lost["slow"]
+        assert pool.alive_count() == pool.size == 2
+        assert pool.reap() == {}  # attributed once, never again
+        pool.dispatch(Nap("after"))
+        [record] = wait_for(pool.poll)
+        assert record["job"] == "after"
+    finally:
+        pool.drain()
+
+
+def test_pool_reap_without_respawn_leaves_the_pool_short():
+    pool = WorkerPool(2, nap_worker)
+    pool.start()
+    try:
+        kill_worker(pool, 0)  # idle: its marker names no job
+        assert pool.reap(respawn=False) == {}
+        assert pool.reap(respawn=False) == {}
+        assert pool.alive_count() == 1
+        assert len(pool.workers) == 2
+    finally:
+        pool.drain()
+
+
+def test_pool_drain_stops_every_worker_and_removes_scratch():
+    pool = WorkerPool(2, nap_worker)
+    pool.start()
+    pool.dispatch(Nap("quick", 0.05))
+    procs = list(pool.workers)
+    scratch = pool.scratch
+    assert scratch.is_dir()
+    pool.drain()
+    assert not any(proc.is_alive() for proc in procs)
+    assert not set(procs) & set(multiprocessing.active_children())
+    assert not scratch.exists()
+    assert pool.alive_count() == 0 and pool.poll() == []
+    pool.drain()  # idempotent
+
+
+def test_every_worker_dead_fails_the_remaining_inflight_tasks():
+    graph = TaskGraph()
+    graph.add("boom", HardCrash())
+    graph.add("queued", Square(3))
+    started = time.monotonic()
+    recap = ProcessScheduler(max_workers=1).run(graph)
+    assert time.monotonic() - started < 30.0
+    for tid in ("boom", "queued"):
+        outcome = recap.outcome(tid)
+        assert outcome.state is TaskState.FAILED
+        assert isinstance(outcome.error, WorkerCrashError)
+    assert "every worker process died" in str(recap.outcome("queued").error)
 
 
 # -- backend resolution ----------------------------------------------------------

@@ -179,11 +179,30 @@ class TestTornJsonl:
         assert diagnose(root).clean
 
     def test_mid_file_garbage_is_not_crash_debris(self, root):
+        """Garbage before the tail is no crash's debris: doctor says why
+        every reader rejects the ledger, and repair leaves it alone."""
         path = root / "journal.jsonl"
         content = '{"event": "ok"}\nnot json\n{"event": "late"}\n'
         path.write_text(content)
-        assert diagnose(root).clean
+        report = diagnose(root)
+        assert kinds(report) == ["corrupt-jsonl"]
+        assert report.findings[0].action == ""
+        assert f"{path}:2:" in report.findings[0].detail
+        repair(report)
+        assert not report.findings[0].repaired
         assert path.read_text() == content
+
+    def test_user_jsonl_is_not_a_ledger(self, root):
+        """Only popper's ledgers are scanned: a torn data file in an
+        experiment keeps its bytes."""
+        path = root / "experiments" / "e" / "dataset.jsonl"
+        path.parent.mkdir(parents=True)
+        content = b'{"a": 1}\n{"b": 2}\n{"c": 3'
+        path.write_bytes(content)
+        report = diagnose(root)
+        assert report.clean
+        repair(report)
+        assert path.read_bytes() == content
 
     def test_object_pool_contents_never_parsed(self, root):
         """Payloads under objects/ are opaque; a stored .jsonl artifact
